@@ -32,25 +32,23 @@ const campaignSeeds = 64
 // BenchmarkCampaignTableI against BenchmarkCampaignTableISerial for the
 // parallel speedup (>2× expected on a multi-core runner).
 func benchCampaignTableI(b *testing.B, workers int) {
-	profiles := len(dnstime.AllProfiles())
+	profiles := dnstime.AllProfiles()
+	eng := dnstime.NewEngine(dnstime.WithSeeds(campaignSeeds), dnstime.WithWorkers(workers))
 	var vulnerable int
 	for i := 0; i < b.N; i++ {
-		rows, err := dnstime.CampaignTableI(dnstime.CampaignTableIOptions{
-			Seeds:   campaignSeeds,
-			Workers: workers,
-		})
+		agg, err := eng.Run(context.Background(), "table1")
 		if err != nil {
 			b.Fatal(err)
 		}
 		vulnerable = 0
-		for _, r := range rows {
-			if r.Boot.Successes == r.Boot.Runs {
+		for _, m := range agg.Metrics {
+			if strings.HasPrefix(m.Name, "boot/") && m.Min == 1 {
 				vulnerable++
 			}
 		}
 	}
 	b.ReportMetric(float64(vulnerable), "boot-vulnerable")
-	b.ReportMetric(float64(b.N*campaignSeeds*profiles)/b.Elapsed().Seconds(), "runs/sec")
+	b.ReportMetric(float64(b.N*campaignSeeds*len(profiles))/b.Elapsed().Seconds(), "runs/sec")
 	b.ReportMetric(float64(workers), "workers")
 }
 

@@ -67,14 +67,21 @@ func main() {
 	}
 	fmt.Println(attack)
 
-	// 3. The whole Table I client matrix: seven profiles × 8 seeds on one
-	// shared worker pool.
-	rows, err := dnstime.CampaignTableI(dnstime.CampaignTableIOptions{Seeds: 8})
+	// 3. The whole Table I client matrix: every seed runs the boot-time
+	// attack against all seven profiles, and the aggregate keys each
+	// client's outcome and time-to-shift by profile name.
+	table1, err := dnstime.NewEngine(dnstime.WithSeeds(8)).Run(ctx, "table1")
 	if err != nil {
 		log.Fatal(err)
 	}
+	means := map[string]float64{}
+	for _, m := range table1.Metrics {
+		means[m.Name] = m.Mean
+	}
 	fmt.Println("Table I over 8 seeds per client:")
-	for _, row := range rows {
-		fmt.Printf("  %-18s boot %5.1f%%  run-time %s\n", row.Client, row.Boot.SuccessRate, row.RunTime)
+	for _, pu := range dnstime.AllProfiles() {
+		name := pu.Profile.Name
+		fmt.Printf("  %-18s boot %5.1f%%  mean time-to-shift %4.0fs\n",
+			name, 100*means["boot/"+name], means["tts_s/"+name])
 	}
 }

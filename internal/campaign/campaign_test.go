@@ -1,24 +1,29 @@
 package campaign
 
 import (
-	"encoding/json"
-	"errors"
+	"context"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
-	"dnstime/internal/core"
 	"dnstime/internal/ntpclient"
 )
 
+// metric finds the named summary in an aggregate.
+func metric(t *testing.T, agg ScenarioAggregate, name string) MetricSummary {
+	t.Helper()
+	for _, m := range agg.Metrics {
+		if m.Name == name {
+			return m
+		}
+	}
+	t.Fatalf("%s aggregate has no metric %q", agg.Scenario, name)
+	return MetricSummary{}
+}
+
 func TestRunBootTimeAggregate(t *testing.T) {
-	agg, err := Run(Spec{
-		Kind:    BootTime,
-		Profile: ntpclient.ProfileNTPd,
-		Seeds:   8,
-		Workers: 4,
-	})
+	agg, err := NewEngine(WithSeeds(8), WithWorkers(4), WithParam("client", "ntpd")).
+		Run(context.Background(), "boot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,41 +42,26 @@ func TestRunBootTimeAggregate(t *testing.T) {
 	if agg.SuccessCI.Lo <= 0 || agg.SuccessCI.Hi != 100 {
 		t.Errorf("Wilson CI = %+v, want (0,100]", agg.SuccessCI)
 	}
-	if agg.MeanTTS <= 0 || agg.P95TTS < agg.MedianTTS {
-		t.Errorf("bad time-to-shift stats: mean=%v median=%v p95=%v",
-			agg.MeanTTS, agg.MedianTTS, agg.P95TTS)
+	if tts := metric(t, agg, "tts_s"); tts.Mean <= 0 || tts.Min > tts.Median || tts.Median > tts.Max {
+		t.Errorf("bad time-to-shift stats: %+v", tts)
 	}
 	for i, r := range agg.PerRun {
 		if r.Seed != int64(1+i) {
 			t.Fatalf("PerRun[%d].Seed = %d, want %d (seed order)", i, r.Seed, 1+i)
 		}
-		if r.ClockOffset > -400*time.Second || r.ClockOffset < -600*time.Second {
-			t.Errorf("seed %d: offset %v, want ≈ −500 s", r.Seed, r.ClockOffset)
+		if off := r.Metrics["offset_s"]; off > -400 || off < -600 {
+			t.Errorf("seed %d: offset %v s, want ≈ −500 s", r.Seed, off)
 		}
 	}
 }
 
 // TestRunDeterministicAcrossWorkers is the engine's core contract: the same
-// seeds produce byte-identical aggregates at any worker count.
+// seeds produce byte-identical aggregates at any worker count, here for a
+// parameterised attack.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
-	spec := Spec{
-		Kind:    BootTime,
-		Profile: ntpclient.ProfileChrony,
-		Seeds:   16,
-		Lab:     core.LabConfig{EvilOffset: -300 * time.Second},
-	}
 	marshal := func(workers int) string {
-		s := spec
-		s.Workers = workers
-		agg, err := Run(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(agg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
+		return marshalAgg(t, "boot", WithSeeds(16), WithWorkers(workers),
+			WithParam("client", "chrony"), WithParam("offset", "-300s"))
 	}
 	serial := marshal(1)
 	for _, w := range []int{2, 8} {
@@ -87,61 +77,38 @@ func TestTableIDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("64-seed campaign in -short mode")
 	}
-	marshal := func(workers int) string {
-		rows, err := TableI(TableIOptions{Seeds: 64, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	serial := marshal(1)
-	if parallel := marshal(8); parallel != serial {
+	serial := marshalAgg(t, "table1", WithSeeds(64), WithWorkers(1))
+	if parallel := marshalAgg(t, "table1", WithSeeds(64), WithWorkers(8)); parallel != serial {
 		t.Fatalf("workers=8 output differs from workers=1")
 	}
 }
 
+// TestTableIRows: the table1 aggregate carries one boot outcome per
+// client profile over every seed, and — the paper's Table I — all seven
+// clients are boot-time vulnerable.
 func TestTableIRows(t *testing.T) {
-	rows, err := TableI(TableIOptions{Seeds: 4, Workers: 8})
+	agg, err := NewEngine(WithSeeds(4), WithWorkers(8)).Run(context.Background(), "table1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiles := ntpclient.AllProfiles()
-	if len(rows) != len(profiles) {
-		t.Fatalf("rows = %d, want %d", len(rows), len(profiles))
-	}
-	for i, row := range rows {
-		if row.Client != profiles[i].Profile.Name {
-			t.Errorf("row %d client = %q, want %q (paper order)", i, row.Client, profiles[i].Profile.Name)
+	boot := 0
+	for _, pu := range ntpclient.AllProfiles() {
+		m := metric(t, agg, "boot/"+pu.Profile.Name)
+		if m.Samples != 4 {
+			t.Errorf("%s: boot samples = %d, want 4", pu.Profile.Name, m.Samples)
 		}
-		if row.Boot.Runs != 4 {
-			t.Errorf("%s: boot runs = %d, want 4", row.Client, row.Boot.Runs)
-		}
-	}
-	// The paper's Table I: all seven clients are boot-time vulnerable,
-	// four support run-time DNS lookups.
-	boot, run := 0, 0
-	for _, row := range rows {
-		if row.Boot.Successes == row.Boot.Runs {
+		if m.Min == 1 {
 			boot++
-		}
-		if row.RunTime == core.Yes.String() {
-			run++
 		}
 	}
 	if boot != 7 {
 		t.Errorf("boot-vulnerable clients = %d, want 7", boot)
 	}
-	if run != 4 {
-		t.Errorf("runtime-vulnerable clients = %d, want 4", run)
-	}
 }
 
 func TestRunChronosCampaign(t *testing.T) {
-	agg, err := Run(Spec{Kind: Chronos, ChronosN: 5, Seeds: 3, Workers: 3})
+	agg, err := NewEngine(WithSeeds(3), WithWorkers(3), WithParam("N", "5")).
+		Run(context.Background(), "chronos")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,33 +119,28 @@ func TestRunChronosCampaign(t *testing.T) {
 	if agg.Successes != agg.Runs {
 		t.Errorf("successes = %d/%d, want all", agg.Successes, agg.Runs)
 	}
-	// Chronos has no time-to-shift metric; the aggregate must not invent
-	// one from zero values.
-	if agg.TTSRuns != 0 {
-		t.Errorf("TTSRuns = %d, want 0 for chronos", agg.TTSRuns)
-	}
-	if strings.Contains(agg.String(), "time-to-shift") {
-		t.Errorf("chronos aggregate renders a time-to-shift: %s", agg)
+	// Chronos has no time-to-shift; the aggregate must not invent one.
+	for _, m := range agg.Metrics {
+		if strings.HasPrefix(m.Name, "tts") {
+			t.Errorf("chronos aggregate reports a time-to-shift metric %q", m.Name)
+		}
 	}
 }
 
 func TestRunProgressReporting(t *testing.T) {
 	var mu sync.Mutex
 	var dones []int
-	agg, err := Run(Spec{
-		Kind:    BootTime,
-		Profile: ntpclient.ProfileNtpdate,
-		Seeds:   6,
-		Workers: 3,
-		Progress: func(done, total int) {
+	agg, err := NewEngine(
+		WithSeeds(6), WithWorkers(3), WithParam("client", "ntpdate"),
+		WithProgress(func(done, total int) {
 			mu.Lock()
 			defer mu.Unlock()
 			if total != 6 {
 				t.Errorf("total = %d, want 6", total)
 			}
 			dones = append(dones, done)
-		},
-	})
+		}),
+	).Run(context.Background(), "boot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,22 +154,5 @@ func TestRunProgressReporting(t *testing.T) {
 		if d != i+1 {
 			t.Fatalf("progress counts = %v, want 1..6 in order", dones)
 		}
-	}
-}
-
-func TestRunBadSpec(t *testing.T) {
-	if _, err := Run(Spec{}); err == nil {
-		t.Error("Run(Spec{}) succeeded, want ErrBadSpec")
-	}
-	if _, err := Run(Spec{Kind: BootTime}); err == nil {
-		t.Error("boot-time campaign without profile succeeded, want ErrBadSpec")
-	}
-	// The Spec shim translates the profile into a scenario param, so a
-	// bespoke profile (not one of the Table I registrations) cannot be
-	// expressed and must be rejected rather than silently replaced.
-	custom := ntpclient.ProfileNTPd
-	custom.PollInterval = 1 // no longer the registered profile
-	if _, err := Run(Spec{Kind: BootTime, Profile: custom, Seeds: 1}); !errors.Is(err, ErrBadSpec) {
-		t.Errorf("bespoke profile: err = %v, want ErrBadSpec", err)
 	}
 }

@@ -25,11 +25,9 @@
 // interrupted campaign resumes into the same final aggregate as an
 // uninterrupted run. See DESIGN.md §7 for the full Engine contract.
 //
-// The pre-Engine entry points remain as thin deprecated shims:
-// RunScenario (option struct, no context) and Run (attack Spec,
-// translated into a parameterised scenario campaign). TableI is the
-// profile-batched fast path over the Table I matrix, pinned by test to
-// the registry's table1 scenario.
+// Checkpoints are append logs (internal/applog): a header line pinning
+// the campaign identity and build revision, then one scenario Result per
+// completed seed.
 //
 // Each run builds its own Lab around its own simclock.Clock, so runs
 // share no state and the fan-out is embarrassingly parallel. Results are

@@ -13,13 +13,14 @@ import (
 	"sync"
 	"time"
 
+	"dnstime/internal/applog"
 	"dnstime/internal/obs"
 	"dnstime/internal/scenario"
 )
 
-// Option configures an Engine (functional-option style). Unlike the
-// deprecated option structs, Options distinguish "unset" from an explicit
-// zero value: WithBaseSeed(0) really runs seed 0.
+// Option configures an Engine (functional-option style). Options
+// distinguish "unset" from an explicit zero value: WithBaseSeed(0) really
+// runs seed 0.
 type Option func(*engineConfig)
 
 // engineConfig is the resolved option set an Engine runs with.
@@ -51,9 +52,8 @@ var seedSeconds = obs.Default.HistogramVec("dnstime_engine_seed_seconds",
 // seed BaseSeed+i.
 func WithSeeds(n int) Option { return func(c *engineConfig) { c.seeds = n } }
 
-// WithBaseSeed sets the first seed (default 1). Unlike the deprecated
-// ScenarioOptions.BaseSeed, an explicit 0 is honoured: the campaign runs
-// seeds 0, 1, 2, ….
+// WithBaseSeed sets the first seed (default 1). An explicit 0 is
+// honoured: the campaign runs seeds 0, 1, 2, ….
 func WithBaseSeed(s int64) Option {
 	return func(c *engineConfig) { c.baseSeed = s; c.baseSeedSet = true }
 }
@@ -251,7 +251,7 @@ func (e *Engine) Stream(ctx context.Context, scenarioName string) (*Stream, erro
 			return nil, err
 		}
 	}
-	var ckpt *checkpointWriter
+	var ckpt *applog.Writer[scenario.Result]
 	if cfg.checkpoint != "" {
 		var err error
 		if ckpt, err = openCheckpoint(cfg.checkpoint, cfg, sc.Name, resumed, resumeLen); err != nil {
@@ -332,7 +332,7 @@ func (e *Engine) Stream(ctx context.Context, scenarioName string) (*Stream, erro
 						cfg.progress(done, cfg.seeds)
 					}
 					if ckpt != nil && ckptErr == nil {
-						ckptErr = ckpt.write(res)
+						ckptErr = ckpt.Append(res)
 					}
 					mu.Unlock()
 					st.results <- res
@@ -358,7 +358,7 @@ func (e *Engine) Stream(ctx context.Context, scenarioName string) (*Stream, erro
 			st.err = ctx.Err()
 		}
 		if ckpt != nil {
-			if err := ckpt.close(); err != nil && ckptErr == nil {
+			if err := ckpt.Close(); err != nil && ckptErr == nil {
 				ckptErr = err
 			}
 			// A checkpoint I/O failure must surface even when the campaign

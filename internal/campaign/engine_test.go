@@ -12,8 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"dnstime/internal/core"
-	"dnstime/internal/ntpclient"
+	"dnstime/internal/applog"
 	"dnstime/internal/scenario"
 )
 
@@ -87,31 +86,18 @@ func marshalAgg(t *testing.T, name string, opts ...Option) string {
 	return string(b)
 }
 
-// TestEngineMatchesRunScenario is the acceptance criterion: Engine.Run
-// and Engine.Stream produce byte-identical aggregates to the deprecated
-// RunScenario shim at any worker count.
+// TestEngineMatchesRunScenario: for each scenario, Engine.Stream yields
+// every seed and folds the byte-identical aggregate Engine.Run returns,
+// at one worker and at eight.
 func TestEngineMatchesRunScenario(t *testing.T) {
 	for _, name := range []string{"boot", "table3", "chronosbound", "t-eng-gate"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			legacy, err := RunScenario(name, ScenarioOptions{Seeds: 4, Workers: 3, Fast: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := json.Marshal(legacy)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, workers := range []int{1, 8} {
-				got := marshalAgg(t, name,
-					WithSeeds(4), WithWorkers(workers), WithFast(true))
-				if got != string(want) {
-					t.Errorf("Engine.Run (workers=%d) differs from RunScenario:\n%s\nvs\n%s",
-						workers, got, want)
-				}
-				st, err := NewEngine(WithSeeds(4), WithWorkers(workers), WithFast(true)).
-					Stream(context.Background(), name)
+				opts := []Option{WithSeeds(4), WithWorkers(workers), WithFast(true)}
+				want := marshalAgg(t, name, opts...)
+				st, err := NewEngine(opts...).Stream(context.Background(), name)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -127,8 +113,8 @@ func TestEngineMatchesRunScenario(t *testing.T) {
 					t.Errorf("streamed %d results, want 4", streamed)
 				}
 				b, _ := json.Marshal(agg)
-				if string(b) != string(want) {
-					t.Errorf("Engine.Stream (workers=%d) differs from RunScenario:\n%s\nvs\n%s",
+				if string(b) != want {
+					t.Errorf("Engine.Stream (workers=%d) differs from Engine.Run:\n%s\nvs\n%s",
 						workers, b, want)
 				}
 			}
@@ -137,8 +123,7 @@ func TestEngineMatchesRunScenario(t *testing.T) {
 }
 
 // TestEngineBaseSeedZero is the zero-value regression: WithBaseSeed(0)
-// really runs seed 0 (the deprecated option structs treated 0 as unset,
-// making seed 0 impossible to request).
+// really runs seed 0 rather than being read as "unset".
 func TestEngineBaseSeedZero(t *testing.T) {
 	agg, err := NewEngine(WithSeeds(3), WithBaseSeed(0)).Run(context.Background(), "t-eng-echo")
 	if err != nil {
@@ -322,10 +307,10 @@ func TestEngineResumeRejectsMismatch(t *testing.T) {
 // advisory where identity is unknowable: non-VCS builds ("unknown", the
 // `go test` case) stamp nothing and compare nothing.
 func TestEngineResumeRevisionGate(t *testing.T) {
-	defer func(orig func() string) { buildRevision = orig }(buildRevision)
+	defer func(orig func() string) { applog.BuildRevision = orig }(applog.BuildRevision)
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
 
-	buildRevision = func() string { return "aaaa00000000" }
+	applog.BuildRevision = func() string { return "aaaa00000000" }
 	if _, err := NewEngine(WithSeeds(2), WithCheckpoint(path)).
 		Run(context.Background(), "t-eng-echo"); err != nil {
 		t.Fatal(err)
@@ -343,7 +328,7 @@ func TestEngineResumeRevisionGate(t *testing.T) {
 		t.Errorf("same-revision resume refused: %v", err)
 	}
 
-	buildRevision = func() string { return "bbbb11111111" }
+	applog.BuildRevision = func() string { return "bbbb11111111" }
 	if _, err := NewEngine(WithSeeds(2), WithResume(path)).
 		Run(context.Background(), "t-eng-echo"); err == nil || !strings.Contains(err.Error(), "revision") {
 		t.Errorf("cross-revision resume not refused: %v", err)
@@ -354,7 +339,7 @@ func TestEngineResumeRevisionGate(t *testing.T) {
 	}
 
 	// Current build unknown: nothing to compare against, resume allowed.
-	buildRevision = func() string { return "unknown" }
+	applog.BuildRevision = func() string { return "unknown" }
 	if _, err := NewEngine(WithSeeds(2), WithResume(path)).
 		Run(context.Background(), "t-eng-echo"); err != nil {
 		t.Errorf("resume under unknown current revision refused: %v", err)
@@ -370,7 +355,7 @@ func TestEngineResumeRevisionGate(t *testing.T) {
 	if data, err := os.ReadFile(path2); err != nil || strings.Contains(string(data), "revision") {
 		t.Errorf("non-VCS build stamped a revision (read err %v): %s", err, data)
 	}
-	buildRevision = func() string { return "cccc22222222" }
+	applog.BuildRevision = func() string { return "cccc22222222" }
 	if _, err := NewEngine(WithSeeds(2), WithResume(path2)).
 		Run(context.Background(), "t-eng-echo"); err != nil {
 		t.Errorf("resume of a revision-free checkpoint refused: %v", err)
@@ -397,10 +382,8 @@ func TestEngineParams(t *testing.T) {
 	}
 }
 
-// TestEngineParameterisedAttack: the headline redesign goal — a
-// boot-time attack against any client profile at any target shift is an
-// ordinary parameterised campaign, and the deprecated Spec shim produces
-// the matching legacy aggregate.
+// TestEngineParameterisedAttack: a boot-time attack against any client
+// profile at any target shift is an ordinary parameterised campaign.
 func TestEngineParameterisedAttack(t *testing.T) {
 	agg, err := NewEngine(
 		WithSeeds(4),
@@ -421,24 +404,6 @@ func TestEngineParameterisedAttack(t *testing.T) {
 	}
 	if offset == nil || offset.Mean > -200 || offset.Mean < -400 {
 		t.Fatalf("offset_s summary %+v, want ≈ -300", offset)
-	}
-
-	legacy, err := Run(Spec{
-		Kind:    BootTime,
-		Profile: ntpclient.ProfileChrony,
-		Lab:     core.LabConfig{EvilOffset: -300 * time.Second},
-		Seeds:   4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Runs != 4 || legacy.Successes != agg.Successes {
-		t.Errorf("Spec shim: %d/%d successes, engine %d", legacy.Successes, legacy.Runs, agg.Successes)
-	}
-	for i, r := range legacy.PerRun {
-		if want := agg.PerRun[i].Metrics["offset_s"]; !closeTo(r.ClockOffset.Seconds(), want, 1e-6) {
-			t.Errorf("seed %d: shim offset %v, engine %v s", r.Seed, r.ClockOffset, want)
-		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -12,45 +11,6 @@ import (
 	_ "dnstime/internal/scenario/register"
 	"dnstime/internal/stats"
 )
-
-// ScenarioOptions sizes a campaign over a registered scenario.
-//
-// Deprecated: use NewEngine with Options — the Option API distinguishes
-// an unset base seed from an explicit seed 0, takes a context, and adds
-// streaming, params and checkpoint/resume. ScenarioOptions remains as a
-// thin shim over the Engine.
-type ScenarioOptions struct {
-	// Seeds is the number of independent seeds (default 16). Run i uses
-	// seed BaseSeed+i.
-	Seeds int
-	// BaseSeed is the first seed (default 1).
-	BaseSeed int64
-	// Workers caps concurrent runs (default GOMAXPROCS).
-	Workers int
-	// Fast is passed through to every run's scenario.Config (shrinks the
-	// slowest scenarios' populations).
-	Fast bool
-	// Progress, if set, is called after each completed run with the number
-	// done so far. Calls are serialised but arrive in completion order,
-	// not seed order.
-	Progress func(done, total int)
-}
-
-// options lowers the deprecated struct onto the Engine's Option list,
-// preserving its documented zero-value defaults (BaseSeed 0 means 1 —
-// request seed 0 with WithBaseSeed(0) on the Engine instead).
-func (o ScenarioOptions) options() []Option {
-	opts := []Option{
-		WithSeeds(o.Seeds),
-		WithWorkers(o.Workers),
-		WithFast(o.Fast),
-		WithProgress(o.Progress),
-	}
-	if o.BaseSeed != 0 {
-		opts = append(opts, WithBaseSeed(o.BaseSeed))
-	}
-	return opts
-}
 
 // MetricSummary aggregates one named metric across a campaign's clean
 // runs. A scenario is free to report a metric on only some of its seeds
@@ -101,8 +61,7 @@ type ScenarioAggregate struct {
 	PerRun []scenario.Result `json:"per_run,omitempty"`
 	// Partial marks an aggregate folded from a cancelled campaign: it
 	// covers exactly the seeds that completed before cancellation (the
-	// field is omitted from complete aggregates, whose bytes therefore
-	// stay identical to pre-Engine output).
+	// field is omitted from complete aggregates).
 	Partial bool `json:"partial,omitempty"`
 }
 
@@ -145,17 +104,6 @@ func (a ScenarioAggregate) Render() string {
 	}
 	sb.WriteString(t.String())
 	return sb.String()
-}
-
-// RunScenario executes a campaign over the named registered scenario:
-// Seeds independent runs on Workers workers, folded into a
-// ScenarioAggregate whose contents do not depend on the worker count.
-//
-// Deprecated: use NewEngine(...).Run(ctx, name) — this shim runs the
-// Engine under context.Background(), so it cannot be cancelled, streamed,
-// parameterised or checkpointed.
-func RunScenario(name string, opts ScenarioOptions) (ScenarioAggregate, error) {
-	return NewEngine(opts.options()...).Run(context.Background(), name)
 }
 
 // foldScenario merges per-run results (already in seed order) into a

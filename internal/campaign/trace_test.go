@@ -17,15 +17,16 @@ import (
 
 // tracedCampaign runs the named scenario over seeds 0..seeds-1 with an
 // in-memory Chrome tracer per seed and returns each seed's finalised
-// trace bytes. Lab pooling is set as requested for the duration of the
-// campaign and restored before returning.
-func tracedCampaign(t *testing.T, name string, seeds, workers int, pooled bool) map[int64][]byte {
+// trace bytes plus the marshalled aggregate. Lab pooling is set as
+// requested for the duration of the campaign and restored before
+// returning.
+func tracedCampaign(t *testing.T, name string, seeds, workers int, pooled bool) (map[int64][]byte, string) {
 	t.Helper()
 	core.SetLabPooling(pooled)
 	defer core.SetLabPooling(true)
 	var mu sync.Mutex
 	bufs := map[int64]*bytes.Buffer{}
-	eng := NewEngine(
+	agg := marshalAgg(t, name,
 		WithSeeds(seeds), WithBaseSeed(0), WithWorkers(workers), WithFast(true),
 		WithTracerFactory(func(seed int64) (obs.Tracer, error) {
 			buf := &bytes.Buffer{}
@@ -35,63 +36,76 @@ func tracedCampaign(t *testing.T, name string, seeds, workers int, pooled bool) 
 			return obs.NewChrome(buf, seed), nil
 		}),
 	)
-	agg, err := eng.Run(context.Background(), name)
-	if err != nil {
-		t.Fatalf("traced %s campaign: %v", name, err)
-	}
-	if agg.Runs != seeds {
-		t.Fatalf("traced %s campaign: %d runs, want %d", name, agg.Runs, seeds)
-	}
 	out := map[int64][]byte{}
 	for seed, buf := range bufs {
 		out[seed] = buf.Bytes()
 	}
-	return out
+	if len(out) != seeds {
+		t.Fatalf("traced %s campaign: %d traces, want %d", name, len(out), seeds)
+	}
+	return out, agg
 }
 
 // TestTraceDeterminism is the trace byte-identity contract from the
-// observability design: for a fixed seed, the Chrome trace produced by a
-// boot-attack run has exactly the same bytes at any worker count and
-// whether the lab was recycled from the pool or built fresh.
+// observability design, for the boot attack and for the scenarios that
+// build their own labs per grid cell (netsweep, racemargin): every seed
+// records a non-empty trace; for a fixed seed the trace has exactly the
+// same bytes at any worker count and whether the lab was recycled from
+// the pool or built fresh; and tracing leaves the aggregate
+// byte-identical to an untraced run.
 func TestTraceDeterminism(t *testing.T) {
 	const seeds = 3
-	ref := tracedCampaign(t, "boot", seeds, 1, true)
-	for seed, b := range ref {
-		if len(b) == 0 {
-			t.Fatalf("seed %d: empty trace", seed)
-		}
-		var events []map[string]any
-		if err := json.Unmarshal(b, &events); err != nil {
-			t.Fatalf("seed %d: trace is not a JSON array: %v", seed, err)
-		}
-		if len(events) == 0 {
-			t.Fatalf("seed %d: no trace events", seed)
-		}
-		for _, e := range events {
-			for _, key := range []string{"name", "cat", "ph", "ts", "pid", "tid"} {
-				if _, ok := e[key]; !ok {
-					t.Fatalf("seed %d: event %v missing %q", seed, e, key)
+	for _, name := range []string{"boot", "netsweep", "racemargin"} {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			ref, agg := tracedCampaign(t, name, seeds, 1, true)
+			for seed, b := range ref {
+				checkTrace(t, seed, b)
+			}
+			untraced := marshalAgg(t, name,
+				WithSeeds(seeds), WithBaseSeed(0), WithWorkers(1), WithFast(true))
+			if agg != untraced {
+				t.Errorf("traced aggregate differs from untraced run:\n%s\nvs\n%s", agg, untraced)
+			}
+			for _, alt := range []struct {
+				desc    string
+				workers int
+				pooled  bool
+			}{
+				{"workers=4 pooled", 4, true},
+				{"workers=1 fresh", 1, false},
+				{"workers=4 fresh", 4, false},
+			} {
+				got, _ := tracedCampaign(t, name, seeds, alt.workers, alt.pooled)
+				for seed, want := range ref {
+					if !bytes.Equal(got[seed], want) {
+						t.Errorf("%s: seed %d trace differs from workers=1 pooled reference", alt.desc, seed)
+					}
 				}
 			}
-			if e["pid"] != float64(seed) {
-				t.Fatalf("seed %d: event pid = %v, want %d", seed, e["pid"], seed)
+		})
+	}
+}
+
+// checkTrace asserts that b is a non-empty Chrome trace array whose
+// events all carry the required fields and the seed as their pid.
+func checkTrace(t *testing.T, seed int64, b []byte) {
+	t.Helper()
+	var events []map[string]any
+	if err := json.Unmarshal(b, &events); err != nil {
+		t.Fatalf("seed %d: trace is not a JSON array: %v", seed, err)
+	}
+	if len(events) == 0 {
+		t.Fatalf("seed %d: no trace events", seed)
+	}
+	for _, e := range events {
+		for _, key := range []string{"name", "cat", "ph", "ts", "pid", "tid"} {
+			if _, ok := e[key]; !ok {
+				t.Fatalf("seed %d: event %v missing %q", seed, e, key)
 			}
 		}
-	}
-	for _, alt := range []struct {
-		desc    string
-		workers int
-		pooled  bool
-	}{
-		{"workers=4 pooled", 4, true},
-		{"workers=1 fresh", 1, false},
-		{"workers=4 fresh", 4, false},
-	} {
-		got := tracedCampaign(t, "boot", seeds, alt.workers, alt.pooled)
-		for seed, want := range ref {
-			if !bytes.Equal(got[seed], want) {
-				t.Errorf("%s: seed %d trace differs from workers=1 pooled reference", alt.desc, seed)
-			}
+		if e["pid"] != float64(seed) {
+			t.Fatalf("seed %d: event pid = %v, want %d", seed, e["pid"], seed)
 		}
 	}
 }

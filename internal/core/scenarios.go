@@ -147,8 +147,7 @@ func labConfig(seed int64, cfg scenario.Config) (LabConfig, error) {
 // Chronos attacks plus the Table I and Table II matrices, all at the
 // paper's default parameters. The attack scenarios are parameterisable
 // (ParamKeys): any client profile, run-time scenario, target shift or lab
-// sizing is an ordinary parameterised campaign, which is also how the
-// deprecated campaign.Spec shim executes.
+// sizing is an ordinary parameterised campaign.
 func init() {
 	scenario.Register(scenario.Scenario{
 		Name:      "boot",
@@ -266,9 +265,9 @@ func runtimeScenario(_ context.Context, seed int64, cfg scenario.Config) (scenar
 
 // tableIScenario runs one seed's whole Table I matrix: the boot-time
 // attack against all seven client profiles. Per-client outcomes are keyed
-// by profile name so a campaign over this scenario aggregates into the
-// per-client Table I rows (see campaign.TableI). The net/rtt/loss params
-// rerun the matrix under any netem path.
+// by profile name ("boot/NTPd", "tts_s/NTPd", …) so a campaign over this
+// scenario aggregates into the per-client Table I rows. The net/rtt/loss
+// params rerun the matrix under any netem path.
 func tableIScenario(_ context.Context, seed int64, cfg scenario.Config) (scenario.Result, error) {
 	metrics := make(map[string]float64, 3*len(ntpclient.AllProfiles()))
 	allShifted := true

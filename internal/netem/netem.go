@@ -54,9 +54,6 @@ type Reorder struct {
 type Path struct {
 	// Delay samples the one-way delay (nil: fixed DefaultLatency).
 	Delay LatencyDist
-	// DelayFunc, when non-nil, overrides Delay with a per-pair latency
-	// function (the simnet WithLatencyFunc shim routes through this).
-	DelayFunc func(src, dst ipv4.Addr) time.Duration
 	// Loss decides per-packet drops (nil: lossless).
 	Loss LossModel
 	// Reorder holds a fraction of packets back (zero value: in-order).
@@ -65,14 +62,9 @@ type Path struct {
 
 // Latency samples the one-way delay, including any reordering hold-back.
 func (p *Path) Latency(src, dst ipv4.Addr, rng *rand.Rand) time.Duration {
-	var d time.Duration
-	switch {
-	case p.DelayFunc != nil:
-		d = p.DelayFunc(src, dst)
-	case p.Delay != nil:
+	d := DefaultLatency
+	if p.Delay != nil {
 		d = p.Delay.Sample(rng)
-	default:
-		d = DefaultLatency
 	}
 	if p.Reorder.P > 0 && rng.Float64() < p.Reorder.P {
 		d += p.Reorder.Extra

@@ -456,7 +456,8 @@ func TestProfileByName(t *testing.T) {
 		}
 	}
 	// Round trip: every registered profile's own Name resolves back to
-	// the identical profile (the campaign Spec shim depends on this).
+	// the identical profile, so a profile name read off an aggregate key
+	// ("boot/NTPd") works as a client= param.
 	for _, pu := range AllProfiles() {
 		got, err := ProfileByName(pu.Profile.Name)
 		if err != nil {

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dnstime/internal/applog"
 	"dnstime/internal/scenario"
 )
 
@@ -314,12 +315,12 @@ func TestBisectResumeRejectsMismatch(t *testing.T) {
 // build's VCS revision and refuse cross-revision resumes unless forced,
 // mirroring the campaign engine's gate.
 func TestSearchResumeRevisionGate(t *testing.T) {
-	defer func(orig func() string) { buildRevision = orig }(buildRevision)
+	defer func(orig func() string) { applog.BuildRevision = orig }(applog.BuildRevision)
 	ax := unitAxis()
 	oracleThreshold.Store(500000)
 	path := filepath.Join(t.TempDir(), "search.jsonl")
 
-	buildRevision = func() string { return "aaaa00000000" }
+	applog.BuildRevision = func() string { return "aaaa00000000" }
 	if _, err := Bisect(context.Background(), ax, Options{
 		Scenario: "t-search-step", Seeds: 2, Checkpoint: path,
 	}); err != nil {
@@ -333,7 +334,7 @@ func TestSearchResumeRevisionGate(t *testing.T) {
 		t.Fatalf("header lacks the revision stamp: %s", hdr)
 	}
 
-	buildRevision = func() string { return "bbbb11111111" }
+	applog.BuildRevision = func() string { return "bbbb11111111" }
 	if _, err := Bisect(context.Background(), ax, Options{
 		Scenario: "t-search-step", Seeds: 2, Resume: path,
 	}); err == nil || !strings.Contains(err.Error(), "revision") {
@@ -346,7 +347,7 @@ func TestSearchResumeRevisionGate(t *testing.T) {
 	}
 
 	// Unknown current build: nothing to compare, resume allowed.
-	buildRevision = func() string { return "unknown" }
+	applog.BuildRevision = func() string { return "unknown" }
 	if _, err := Bisect(context.Background(), ax, Options{
 		Scenario: "t-search-step", Seeds: 2, Resume: path,
 	}); err != nil {

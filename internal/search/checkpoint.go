@@ -1,35 +1,18 @@
 package search
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
 	"reflect"
 	"sort"
 
-	"dnstime/internal/obs"
+	"dnstime/internal/applog"
 	"dnstime/internal/scenario"
 )
 
 // searchCheckpointVersion is bumped if the JSONL layout changes shape.
 const searchCheckpointVersion = 1
-
-// buildRevision reports the VCS revision stamped into search
-// checkpoints. A variable so tests can simulate cross-revision resumes
-// (obs.BuildInfo caches, and `go test` binaries carry no revision).
-var buildRevision = func() string { return obs.BuildInfo().Revision }
-
-// stampRevision returns the current build's VCS revision, or "" when
-// unknown ("unknown" is BuildInfo's placeholder, not an identity).
-func stampRevision() string {
-	if rev := buildRevision(); rev != "" && rev != "unknown" {
-		return rev
-	}
-	return ""
-}
 
 // searchHeader is the first line of a search checkpoint: the search
 // identity a recorded probe is only valid under. Seed range is NOT part
@@ -55,7 +38,7 @@ func searchHeaderFor(opt Options) searchHeader {
 		Target:   opt.Target,
 		Fast:     opt.Fast,
 		Params:   opt.Params,
-		Revision: stampRevision(),
+		Revision: applog.Revision(),
 	}
 }
 
@@ -75,11 +58,7 @@ func (h searchHeader) compatible(opt Options) error {
 		(len(h.Params) > 0 && !reflect.DeepEqual(h.Params, opt.Params)):
 		return fmt.Errorf("search: checkpoint params (%s) differ from search params (%s)", h.Params, opt.Params)
 	}
-	if cur := stampRevision(); h.Revision != "" && cur != "" && h.Revision != cur && !opt.Force {
-		return fmt.Errorf("search: checkpoint was written at revision %.12s, this build is %.12s — its probes may not reproduce; pass -force to resume anyway",
-			h.Revision, cur)
-	}
-	return nil
+	return applog.CheckRevision("search", h.Revision, opt.Force)
 }
 
 // probeRecord is one completed probe campaign as persisted: its
@@ -98,7 +77,7 @@ type probeRecord struct {
 // deduplicates probes inside one search).
 type probeCache struct {
 	recs map[string]probeRecord
-	f    *os.File // nil when no checkpoint file is being written
+	w    *applog.Writer[probeRecord] // nil when no checkpoint file is being written
 }
 
 // openProbeCache loads the resume file (when configured) and prepares
@@ -111,7 +90,7 @@ func openProbeCache(opt Options) (*probeCache, error) {
 	c := &probeCache{recs: map[string]probeRecord{}}
 	var validLen int64
 	if opt.Resume != "" {
-		n, err := c.load(opt)
+		n, err := loadProbes(opt, c.recs)
 		switch {
 		case err == nil:
 			validLen = n
@@ -123,88 +102,30 @@ func openProbeCache(opt Options) (*probeCache, error) {
 	if opt.Checkpoint == "" {
 		return c, nil
 	}
-	if opt.Checkpoint == opt.Resume && validLen > 0 {
-		if f, err := os.OpenFile(opt.Checkpoint, os.O_WRONLY, 0o644); err == nil {
-			if err := f.Truncate(validLen); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("search: checkpoint %s: %w", opt.Checkpoint, err)
-			}
-			if _, err := f.Seek(validLen, 0); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("search: checkpoint %s: %w", opt.Checkpoint, err)
-			}
-			c.f = f
-			return c, nil
-		}
-	}
-	f, err := os.Create(opt.Checkpoint)
-	if err != nil {
-		return nil, fmt.Errorf("search: checkpoint: %w", err)
-	}
-	c.f = f
-	hdr, err := json.Marshal(searchHeaderFor(opt))
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("search: checkpoint: %w", err)
-	}
-	if _, err := f.Write(append(hdr, '\n')); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("search: checkpoint %s: %w", opt.Checkpoint, err)
+	if opt.Checkpoint != opt.Resume {
+		validLen = 0
 	}
 	// Replay resumed probes (sorted by key) so a cross-file checkpoint
 	// is complete on its own.
-	keys := make([]string, 0, len(c.recs))
-	for k := range c.recs {
-		keys = append(keys, k)
+	replay := make([]probeRecord, 0, len(c.recs))
+	for _, rec := range c.recs {
+		replay = append(replay, rec)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if err := c.append(c.recs[k]); err != nil {
-			f.Close()
-			return nil, err
-		}
+	sort.Slice(replay, func(i, j int) bool { return replay[i].Key < replay[j].Key })
+	w, err := applog.Open("search", opt.Checkpoint, validLen, searchHeaderFor(opt), replay)
+	if err != nil {
+		return nil, err
 	}
+	c.w = w
 	return c, nil
 }
 
-// load reads the resume file into the cache and returns the byte length
+// loadProbes reads the resume file into recs and returns the byte length
 // of its valid newline-terminated prefix.
-func (c *probeCache) load(opt Options) (int64, error) {
-	data, err := os.ReadFile(opt.Resume)
-	if err != nil {
-		return 0, fmt.Errorf("search: resume: %w", err)
-	}
-	var validLen int64
-	lineNo := 0
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			break // torn trailing fragment from a crash mid-append
-		}
-		line := data[:nl]
-		lineNo++
-		if lineNo == 1 {
-			var h searchHeader
-			if err := json.Unmarshal(line, &h); err != nil {
-				return 0, fmt.Errorf("search: resume %s: bad header: %w", opt.Resume, err)
-			}
-			if err := h.compatible(opt); err != nil {
-				return 0, fmt.Errorf("%w (resume %s)", err, opt.Resume)
-			}
-		} else {
-			var rec probeRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				return 0, fmt.Errorf("search: resume %s line %d: %w", opt.Resume, lineNo, err)
-			}
-			c.recs[rec.Key] = rec
-		}
-		validLen += int64(nl + 1)
-		data = data[nl+1:]
-	}
-	if lineNo == 0 {
-		return 0, fmt.Errorf("search: resume %s: empty checkpoint", opt.Resume)
-	}
-	return validLen, nil
+func loadProbes(opt Options, recs map[string]probeRecord) (int64, error) {
+	return applog.Load("search", opt.Resume,
+		func(h searchHeader) error { return h.compatible(opt) },
+		func(rec probeRecord) { recs[rec.Key] = rec })
 }
 
 // get answers a probe from the cache.
@@ -218,33 +139,18 @@ func (c *probeCache) get(key string) (probeRecord, bool) {
 func (c *probeCache) put(key string, successes, runs int) error {
 	rec := probeRecord{Key: key, Successes: successes, Runs: runs}
 	c.recs[key] = rec
-	if c.f == nil {
+	if c.w == nil {
 		return nil
 	}
-	return c.append(rec)
-}
-
-// append writes one probe line to the checkpoint file.
-func (c *probeCache) append(rec probeRecord) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("search: checkpoint: %w", err)
-	}
-	if _, err := c.f.Write(append(b, '\n')); err != nil {
-		return fmt.Errorf("search: checkpoint %s: %w", c.f.Name(), err)
-	}
-	return nil
+	return c.w.Append(rec)
 }
 
 // close flushes and closes the checkpoint file; idempotent.
 func (c *probeCache) close() error {
-	if c.f == nil {
+	if c.w == nil {
 		return nil
 	}
-	f := c.f
-	c.f = nil
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("search: checkpoint %s: %w", f.Name(), err)
-	}
-	return nil
+	w := c.w
+	c.w = nil
+	return w.Close()
 }

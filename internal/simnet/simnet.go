@@ -112,8 +112,7 @@ type Option func(*Network)
 // reordering per directed pair (see internal/netem for the composable
 // models and named profiles). The model draws from the network RNG
 // (WithSeed); stateful models must not be shared between networks, so
-// build a fresh one per Network. Overrides any previously applied
-// latency/loss option.
+// build a fresh one per Network.
 func WithPathModel(m netem.PathModel) Option {
 	return func(n *Network) {
 		if m != nil {
@@ -129,54 +128,6 @@ func WithPathModel(m netem.PathModel) Option {
 // the pre-netem network hard-coded.
 func WithSeed(seed int64) Option {
 	return func(n *Network) { n.rng.Seed(seed) }
-}
-
-// WithLatency sets a fixed uniform one-way latency for all links. Thin
-// shim over netem: it reconfigures the network's default netem.Path (or
-// replaces a custom model installed earlier).
-func WithLatency(d time.Duration) Option {
-	return editPath(func(p *netem.Path) { p.Delay = netem.Fixed(d) })
-}
-
-// WithLatencyFunc sets a per-pair one-way latency function (shim over
-// netem.Path.DelayFunc; see WithLatency).
-func WithLatencyFunc(f func(src, dst ipv4.Addr) time.Duration) Option {
-	return editPath(func(p *netem.Path) { p.DelayFunc = f })
-}
-
-// WithLossRate drops each packet independently with probability p, drawn
-// from the network RNG (shim over netem.IID; see WithLatency). Pair with
-// WithSeed to pin the loss pattern to a run seed.
-func WithLossRate(p float64) Option {
-	return editPath(func(path *netem.Path) { path.Loss = netem.IID{P: p} })
-}
-
-// WithLoss drops each packet independently with probability p, using the
-// given seed for reproducibility.
-//
-// Deprecated: the seed belongs to the network, not the loss model — use
-// WithLossRate(p) plus WithSeed(seed), or a full WithPathModel. This
-// shim is exactly that combination, so existing callers keep their
-// packet-for-packet behaviour.
-func WithLoss(p float64, seed int64) Option {
-	return func(n *Network) {
-		WithLossRate(p)(n)
-		WithSeed(seed)(n)
-	}
-}
-
-// editPath mutates the network's composable netem.Path in place; if a
-// custom PathModel was installed, it is replaced by a fresh Path carrying
-// just the edit (the legacy options predate model composition).
-func editPath(edit func(*netem.Path)) Option {
-	return func(n *Network) {
-		p, ok := n.path.(*netem.Path)
-		if !ok {
-			p = &netem.Path{}
-			n.path = p
-		}
-		edit(p)
-	}
 }
 
 // WithTrace installs a packet-trace callback. Traced packets may be pooled
