@@ -81,15 +81,15 @@ func TestDocsRelativeLinks(t *testing.T) {
 // TestGodocCoverage: internal/scenario, internal/campaign,
 // internal/stats, internal/netem (including the topology layer),
 // internal/simnet, internal/ntpclient, internal/core, internal/serve,
-// internal/obs, internal/search and internal/applog must carry a package
-// comment and a doc comment on every exported symbol (types, funcs,
-// methods, and const/var groups).
+// internal/obs, internal/search, internal/applog and internal/simrand must
+// carry a package comment and a doc comment on every exported symbol
+// (types, funcs, methods, and const/var groups).
 func TestGodocCoverage(t *testing.T) {
 	for _, dir := range []string{
 		"internal/scenario", "internal/campaign", "internal/stats",
 		"internal/netem", "internal/simnet", "internal/ntpclient",
 		"internal/core", "internal/serve", "internal/obs", "internal/search",
-		"internal/applog",
+		"internal/applog", "internal/simrand",
 	} {
 		fset := token.NewFileSet()
 		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {

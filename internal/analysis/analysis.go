@@ -7,6 +7,8 @@ import (
 	"math"
 	"math/rand"
 	"time"
+
+	"dnstime/internal/simrand"
 )
 
 // DefaultPRate is the measured fraction of pool.ntp.org servers that
@@ -97,7 +99,7 @@ func TableIII(p float64) []TableIIIRow {
 // MonteCarloP2 estimates P2(m,n) by sampling server populations — a
 // cross-check on the closed form used in the property tests.
 func MonteCarloP2(m, n int, p float64, trials int, seed int64) float64 {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(simrand.New(seed))
 	hit := 0
 	for t := 0; t < trials; t++ {
 		limiting := 0

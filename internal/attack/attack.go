@@ -32,6 +32,7 @@ import (
 	"dnstime/internal/obs"
 	"dnstime/internal/simclock"
 	"dnstime/internal/simnet"
+	"dnstime/internal/simrand"
 	"dnstime/internal/udp"
 )
 
@@ -77,7 +78,7 @@ func New(host *simnet.Host, seed int64) *Attacker {
 		host:  host,
 		net:   host.Network(),
 		clock: host.Clock(),
-		rng:   rand.New(rand.NewSource(seed)),
+		rng:   rand.New(simrand.New(seed)),
 		tr:    obs.Nop,
 	}
 }
@@ -98,8 +99,9 @@ func (a *Attacker) SetTracer(tr obs.Tracer) {
 func (a *Attacker) traceOn() bool { return a.tr != nil && a.tr.Enabled() }
 
 // Reset restores the attacker to the observable state New(host, seed)
-// produces: fresh RNG stream, zero packet counter. All fragment-building
-// scratch survives — a pooled lab reuses its attacker every campaign seed.
+// produces: the RNG stream of a fresh simrand.New(seed), re-seeded in
+// place, and a zero packet counter. All fragment-building scratch survives
+// — a pooled lab reuses its attacker every campaign seed.
 func (a *Attacker) Reset(seed int64) {
 	a.rng.Seed(seed)
 	a.InjectedPackets = 0

@@ -31,3 +31,16 @@ func TestAllocBudgetLabReset(t *testing.T) {
 		t.Errorf("%.1f allocs per pooled lab reset, budget %d", avg, allocBudgetLabReset)
 	}
 }
+
+// BenchmarkLabReset times the pooled reset TestAllocBudgetLabReset gates:
+// one Lab.Reset to a fresh seed, which re-seeds the network, resolver and
+// attacker RNGs and re-wires every component in place.
+func BenchmarkLabReset(b *testing.B) {
+	l := MustNewLab(LabConfig{Seed: 1})
+	b.ReportAllocs()
+	for i := range b.N {
+		if err := l.Reset(LabConfig{Seed: int64(i) + 2}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -18,6 +18,7 @@ import (
 	"dnstime/internal/ipv4"
 	"dnstime/internal/simclock"
 	"dnstime/internal/simnet"
+	"dnstime/internal/simrand"
 )
 
 // DNSPort is the well-known DNS UDP port.
@@ -111,7 +112,7 @@ func New(host *simnet.Host, cfg Config) (*Resolver, error) {
 		host:  host,
 		clock: host.Clock(),
 		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.RandSeed)),
+		rng:   rand.New(simrand.New(cfg.RandSeed)),
 		cache: make(map[cacheKey]CacheEntry),
 	}
 	if err := host.HandleUDP(DNSPort, r.handleClient); err != nil {
@@ -122,7 +123,8 @@ func New(host *simnet.Host, cfg Config) (*Resolver, error) {
 
 // Reset re-binds the resolver to its (freshly host.Reset) host under a new
 // configuration, restoring the observable state New produces: empty cache,
-// zero stats, RNG stream identical to rand.New(rand.NewSource(RandSeed)).
+// zero stats, RNG stream identical to a fresh simrand.New(RandSeed) (that
+// is, math/rand's stream for RandSeed), re-seeded in place.
 // Decode scratch — including the decoders' name-intern tables, which hold
 // only immutable content-addressed strings — and map storage are retained.
 func (r *Resolver) Reset(cfg Config) error {

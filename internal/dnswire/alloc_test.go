@@ -35,7 +35,12 @@ func TestAllocBudgetEncodeDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if encAvg > allocBudgetEncode {
+	// AppendMarshal borrows its encoder from a sync.Pool. Under the race
+	// detector Pool.Put drops one item in four on purpose, so the encoder
+	// is sometimes rebuilt and the encode count reads about one. That is
+	// an artefact of the race build, not a leak; the standard library
+	// guards its Pool-backed allocation tests the same way.
+	if !raceEnabled && encAvg > allocBudgetEncode {
 		t.Errorf("encode: %.1f allocs per AppendMarshal into reused buffer, budget %d", encAvg, allocBudgetEncode)
 	}
 

@@ -1,0 +1,6 @@
+//go:build !race
+
+package dnswire
+
+// raceEnabled reports a -race build (see alloc_test.go).
+const raceEnabled = false

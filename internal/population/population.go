@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"dnstime/internal/ipv4"
+	"dnstime/internal/simrand"
 )
 
 // ---------------------------------------------------------------------------
@@ -55,7 +56,7 @@ func DefaultPoolConfig() PoolConfig {
 
 // GeneratePool draws a pool-server population.
 func GeneratePool(cfg PoolConfig, seed int64) []PoolServerSpec {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(simrand.New(seed))
 	if cfg.PKoD > cfg.PRateLimit {
 		cfg.PKoD = cfg.PRateLimit
 	}
@@ -103,7 +104,7 @@ func DefaultPoolNameserverConfig() PoolNameserverConfig {
 
 // GeneratePoolNameservers draws the pool.ntp.org nameserver population.
 func GeneratePoolNameservers(cfg PoolNameserverConfig, seed int64) []NameserverSpec {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(simrand.New(seed))
 	out := make([]NameserverSpec, cfg.Total)
 	perm := rng.Perm(cfg.Total)
 	for i := range out {
@@ -149,7 +150,7 @@ func DefaultDomainNameserverConfig() DomainNameserverConfig {
 
 // GenerateDomainNameservers draws the popular-domain nameserver population.
 func GenerateDomainNameservers(cfg DomainNameserverConfig, seed int64) []NameserverSpec {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(simrand.New(seed))
 	out := make([]NameserverSpec, cfg.Total)
 	for i := range out {
 		var s NameserverSpec
@@ -311,7 +312,7 @@ func GenerateOpenResolvers(cfg OpenResolverConfig, seed int64) []OpenResolverSpe
 		probs[i] = cfg.PCached[rec]
 	}
 
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(simrand.New(seed))
 	out := make([]OpenResolverSpec, cfg.Total)
 	// Chunked arena for the Cached slices: each resolver carves a sub-slice
 	// out of the current chunk, and an exhausted chunk is simply replaced —
@@ -429,7 +430,7 @@ func DefaultAdStudyConfig() AdStudyConfig {
 // GenerateAdClients draws the ad-study client population (valid and
 // invalid results; the harness applies the paper's filtering).
 func GenerateAdClients(cfg AdStudyConfig, seed int64) []AdClientSpec {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(simrand.New(seed))
 	total := 0
 	for _, region := range AllRegions() {
 		total += cfg.Regions[region].Clients
@@ -505,7 +506,7 @@ func DefaultSharedResolverConfig() SharedResolverConfig {
 
 // GenerateSharedResolvers draws the shared-resolver topology.
 func GenerateSharedResolvers(cfg SharedResolverConfig, seed int64) []SharedResolverSpec {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(simrand.New(seed))
 	out := make([]SharedResolverSpec, cfg.Total)
 	for i := range out {
 		s := SharedResolverSpec{UsedByWeb: true}
@@ -553,7 +554,7 @@ func DefaultTimingProbeConfig() TimingProbeConfig {
 // GenerateTimingDeltas draws t_first − t_avg samples (milliseconds) for the
 // probe population.
 func GenerateTimingDeltas(cfg TimingProbeConfig, seed int64) []float64 {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(simrand.New(seed))
 	out := make([]float64, cfg.Resolvers)
 	for i := range out {
 		jitter := rng.NormFloat64() * cfg.JitterMS
@@ -572,7 +573,7 @@ func GenerateTimingDeltas(cfg TimingProbeConfig, seed int64) []float64 {
 // UniformTTLs draws n remaining-TTL values uniform on [0, maxTTL] seconds —
 // the Figure 6 ground truth distribution.
 func UniformTTLs(n, maxTTL int, seed int64) []time.Duration {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(simrand.New(seed))
 	out := make([]time.Duration, n)
 	for i := range out {
 		out[i] = time.Duration(rng.Intn(maxTTL+1)) * time.Second

@@ -234,8 +234,7 @@ func (s *Server) runJob(j *job) {
 
 	st, err := campaign.NewEngine(opts...).Stream(ctx, j.spec.Scenario)
 	if err != nil {
-		j.finish(stateFailed, nil, err.Error())
-		s.finalizeJob(j, stateFailed, 0, 0, s.clock().Sub(start).Seconds())
+		s.finishJob(j, stateFailed, nil, err.Error(), 0, 0, s.clock().Sub(start).Seconds())
 		return
 	}
 	for res := range st.Results() {
@@ -250,8 +249,7 @@ func (s *Server) runJob(j *job) {
 	case err == nil && !agg.Partial:
 		raw, merr := marshalAggregate(agg)
 		if merr != nil {
-			j.finish(stateFailed, nil, merr.Error())
-			s.finalizeJob(j, stateFailed, exec, resumed, seconds)
+			s.finishJob(j, stateFailed, nil, merr.Error(), exec, resumed, seconds)
 			return
 		}
 		if !j.spec.Trace {
@@ -261,8 +259,7 @@ func (s *Server) runJob(j *job) {
 			// with untraced entries either.
 			s.cache.put(j.key, agg)
 		}
-		j.finish(stateDone, raw, "")
-		s.finalizeJob(j, stateDone, exec, resumed, seconds)
+		s.finishJob(j, stateDone, raw, "", exec, resumed, seconds)
 	case agg.Partial:
 		// A cancelled campaign still has a well-defined partial aggregate
 		// over its completed seeds; the checkpoint (if any) holds them for
@@ -272,17 +269,17 @@ func (s *Server) runJob(j *job) {
 		if err != nil {
 			msg = err.Error()
 		}
-		j.finish(stateCanceled, raw, msg)
-		s.finalizeJob(j, stateCanceled, exec, resumed, seconds)
+		s.finishJob(j, stateCanceled, raw, msg, exec, resumed, seconds)
 	default:
-		j.finish(stateFailed, nil, err.Error())
-		s.finalizeJob(j, stateFailed, exec, resumed, seconds)
+		s.finishJob(j, stateFailed, nil, err.Error(), exec, resumed, seconds)
 	}
 }
 
-// finalizeJob folds a finished run into the metrics and frees its
-// campaign key for resubmission.
-func (s *Server) finalizeJob(j *job, state string, executed, resumed int64, seconds float64) {
+// finishJob folds a finished run into the metrics, frees its campaign key
+// for resubmission and only then makes the job terminal, so a client that
+// has seen the terminal state can resubmit the spec (and read /metrics)
+// without coalescing onto the finished job.
+func (s *Server) finishJob(j *job, state string, agg json.RawMessage, errMsg string, executed, resumed int64, seconds float64) {
 	s.metrics.jobsRunning.Dec()
 	switch state {
 	case stateDone:
@@ -294,6 +291,7 @@ func (s *Server) finalizeJob(j *job, state string, executed, resumed int64, seco
 	}
 	s.metrics.jobFinished(j.spec.Scenario, executed, resumed, seconds)
 	s.dropInflight(j)
+	j.finish(state, agg, errMsg)
 }
 
 // dropInflight removes the job's campaign-key reservation if it still

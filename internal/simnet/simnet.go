@@ -34,6 +34,7 @@ import (
 	"dnstime/internal/ipv4"
 	"dnstime/internal/netem"
 	"dnstime/internal/simclock"
+	"dnstime/internal/simrand"
 	"dnstime/internal/udp"
 )
 
@@ -99,6 +100,7 @@ type Network struct {
 	hosts map[ipv4.Addr]*Host
 	path  netem.PathModel
 	rng   *rand.Rand
+	seed  int64 // the seed New/Reset give rng once the options have run
 	trace func(TraceEvent)
 
 	pktFree []*ipv4.Packet
@@ -125,9 +127,11 @@ func WithPathModel(m netem.PathModel) Option {
 // (loss draws, latency jitter, reordering) — from seed. Labs pass their
 // campaign seed so link behaviour is deterministic per run and
 // independent of campaign worker count. The default seed is 1, the value
-// the pre-netem network hard-coded.
+// the pre-netem network hard-coded. The option only records the seed:
+// New and Reset seed the RNG once, after every option has run, so a reset
+// costs one seeding (see internal/simrand) and the last WithSeed wins.
 func WithSeed(seed int64) Option {
-	return func(n *Network) { n.rng.Seed(seed) }
+	return func(n *Network) { n.seed = seed }
 }
 
 // WithTrace installs a packet-trace callback. Traced packets may be pooled
@@ -147,11 +151,12 @@ func New(clock *simclock.Clock, opts ...Option) *Network {
 		clock: clock,
 		hosts: make(map[ipv4.Addr]*Host),
 		path:  &netem.Path{},
-		rng:   rand.New(rand.NewSource(1)),
+		seed:  1,
 	}
 	for _, o := range opts {
 		o(n)
 	}
+	n.rng = rand.New(simrand.New(n.seed))
 	return n
 }
 
@@ -172,11 +177,12 @@ func (n *Network) RemoveHost(addr ipv4.Addr) { delete(n.hosts, addr) }
 // gives the lab pool a network indistinguishable from a freshly built one.
 func (n *Network) Reset(opts ...Option) {
 	n.path = &netem.Path{}
-	n.rng.Seed(1)
+	n.seed = 1
 	n.trace = nil
 	for _, o := range opts {
 		o(n)
 	}
+	n.rng.Seed(n.seed)
 }
 
 // getPacket takes a packet from the free list (payload length zero,

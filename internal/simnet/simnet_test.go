@@ -279,6 +279,36 @@ func TestSeedDeterminesLinkRandomness(t *testing.T) {
 	}
 }
 
+// TestResetSeedMatchesNew pins the one-seeding-per-reset rule: a network
+// reset with WithSeed(s) draws the stream of a fresh New(clock, WithSeed(s)),
+// whatever it was seeded with and how far it had drawn before, and the
+// last WithSeed of an option list wins.
+func TestResetSeedMatchesNew(t *testing.T) {
+	draws := func(n *Network) []int64 {
+		out := make([]int64, 1000)
+		for i := range out {
+			out[i] = n.rng.Int63()
+		}
+		return out
+	}
+	pooled := New(simclock.New(t0), WithSeed(99))
+	draws(pooled)
+	for _, seed := range []int64{1, 7, -3, 1 << 40} {
+		want := draws(New(simclock.New(t0), WithSeed(seed)))
+		pooled.Reset(WithSeed(seed+1000), WithSeed(seed))
+		got := draws(pooled)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: draw %d after Reset = %d, fresh network = %d", seed, i, got[i], want[i])
+			}
+		}
+	}
+	pooled.Reset()
+	if got, want := draws(pooled), draws(New(simclock.New(t0))); got[0] != want[0] {
+		t.Errorf("Reset without WithSeed draws %d, New default draws %d", got[0], want[0])
+	}
+}
+
 func TestInjectToUnknownHostDropped(t *testing.T) {
 	clk := simclock.New(t0)
 	var dropped bool
